@@ -102,12 +102,8 @@ func main() {
 	fmt.Printf("# CAMC %s latency test\n", kind)
 	fmt.Printf("# %s, %d processes, %s via %s\n", a.Display, np, label, mech)
 	fmt.Printf("%-12s %16s\n", "# Size", "Latency (us)")
-	mKind := kind
-	if kind == core.KindReduce {
-		mKind = core.KindGather // same buffer shape
-	}
 	for size := *minF; size <= *maxF; size <<= 1 {
-		lat := measure.Collective(a, mKind, algo, size, measure.Options{
+		lat := measure.Collective(a, kind, algo, size, measure.Options{
 			Procs: np, Root: *rootF, Iters: *itersF, Mechanism: mech,
 		})
 		fmt.Printf("%-12d %16.2f\n", size, lat)

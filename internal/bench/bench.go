@@ -4,7 +4,7 @@
 //
 // Experiments return structured Tables so tests can assert the published
 // *shapes* (who wins, by what factor, where crossovers fall), and print
-// them for the camc-bench / camc-micro / camc-model command-line tools
+// them for the camc-bench / camc-model command-line tools
 // and for EXPERIMENTS.md.
 package bench
 

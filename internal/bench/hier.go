@@ -54,23 +54,6 @@ func hierLadders() []hierLadder {
 	}
 }
 
-// hierBufSizes returns per-rank (send, recv) buffer sizes for a cluster
-// collective at world size w.
-func hierBufSizes(kind core.Kind, w int, count int64) (int64, int64) {
-	switch kind {
-	case core.KindScatter:
-		return int64(w) * count, count
-	case core.KindGather:
-		return count, int64(w) * count
-	case core.KindAllgather:
-		return count, int64(w) * count
-	case core.KindAlltoall:
-		return int64(w) * count, int64(w) * count
-	default: // bcast, reduce
-		return count, count
-	}
-}
-
 // hierCell measures one (arch, kind, design, nodes) point: a dataless
 // cluster run with the tuned intra-node algorithm, released back to the
 // fabric pool afterwards.
@@ -80,7 +63,10 @@ func hierCell(a *arch.Profile, kind core.Kind, design cluster.Design, nodes, ppn
 	if err != nil {
 		panic(err)
 	}
-	sendLen, recvLen := hierBufSizes(kind, cl.WorldSize(), count)
+	sendLen, recvLen, err := core.BufSizes(kind, cl.WorldSize(), count)
+	if err != nil {
+		panic(err)
+	}
 	done, err := cl.Run(func(r *cluster.Rank) {
 		send := r.Alloc(sendLen)
 		recv := r.Alloc(recvLen)

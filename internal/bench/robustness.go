@@ -198,16 +198,7 @@ func init() {
 				stats.XLabels = append(stats.XLabels, sc.name)
 				var sum fault.Stats
 				for ci := range colls {
-					st := cells[ci*len(scens)+si].st
-					sum.Transients += st.Transients
-					sum.Partials += st.Partials
-					sum.LockSpikes += st.LockSpikes
-					sum.ShmStalls += st.ShmStalls
-					sum.Stragglers += st.Stragglers
-					sum.Retries += st.Retries
-					sum.BackoffTime += st.BackoffTime
-					sum.Fallbacks += st.Fallbacks
-					sum.BounceBytes += st.BounceBytes
+					sum.Add(cells[ci*len(scens)+si].st)
 				}
 				for i, c := range cols {
 					stats.Series[i].Values = append(stats.Series[i].Values, c.get(sum))

@@ -43,7 +43,7 @@ func TestReferenceScatter(t *testing.T) {
 	}
 	want := [][]byte{{1, 2}, {3, 4}, {5, 6}}
 	for r := range want {
-		if DiffPayload(r, exp[r], want[r]) != "" {
+		if core.DiffPayload(r, exp[r], want[r]) != "" {
 			t.Errorf("rank %d: got %v, want %v", r, exp[r], want[r])
 		}
 	}
@@ -59,7 +59,7 @@ func TestReferenceGather(t *testing.T) {
 		t.Error("non-root gather buffers must be unspecified")
 	}
 	want := []byte{10, 11, 20, 21, 30, 31}
-	if DiffPayload(1, exp[1], want) != "" {
+	if core.DiffPayload(1, exp[1], want) != "" {
 		t.Errorf("root: got %v, want %v", exp[1], want)
 	}
 }
@@ -73,7 +73,7 @@ func TestReferenceAlltoall(t *testing.T) {
 	// exp[r][s*c+i] = sends[s][r*c+i]
 	want := [][]byte{{1, 2, 5, 6}, {3, 4, 7, 8}}
 	for r := range want {
-		if DiffPayload(r, exp[r], want[r]) != "" {
+		if core.DiffPayload(r, exp[r], want[r]) != "" {
 			t.Errorf("rank %d: got %v, want %v", r, exp[r], want[r])
 		}
 	}
@@ -89,7 +89,7 @@ func TestReferenceAllgather(t *testing.T) {
 	}
 	want := []byte{1, 2, 3, 4, 5, 6}
 	for r := 0; r < 3; r++ {
-		if DiffPayload(r, exp[r], want) != "" {
+		if core.DiffPayload(r, exp[r], want) != "" {
 			t.Errorf("rank %d: got %v, want %v", r, exp[r], want)
 		}
 	}
@@ -105,7 +105,7 @@ func TestReferenceBcast(t *testing.T) {
 		t.Error("bcast root's receive buffer must be unspecified")
 	}
 	for r := 0; r < 2; r++ {
-		if DiffPayload(r, exp[r], []byte{9, 8}) != "" {
+		if core.DiffPayload(r, exp[r], []byte{9, 8}) != "" {
 			t.Errorf("rank %d: got %v", r, exp[r])
 		}
 	}
@@ -119,7 +119,7 @@ func TestReferenceReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte{byte((200 + 100 + 7) % 256), 6} // wraps to 51
-	if DiffPayload(0, exp[0], want) != "" {
+	if core.DiffPayload(0, exp[0], want) != "" {
 		t.Errorf("root: got %v, want %v", exp[0], want)
 	}
 	if exp[1] != nil || exp[2] != nil {
@@ -140,16 +140,16 @@ func TestReferenceRejectsBadSnapshots(t *testing.T) {
 }
 
 func TestDiffPayload(t *testing.T) {
-	if d := DiffPayload(0, []byte{1, 2}, []byte{1, 2}); d != "" {
+	if d := core.DiffPayload(0, []byte{1, 2}, []byte{1, 2}); d != "" {
 		t.Errorf("equal buffers diff: %q", d)
 	}
-	if d := DiffPayload(0, []byte{1, 2}, nil); d != "" {
+	if d := core.DiffPayload(0, []byte{1, 2}, nil); d != "" {
 		t.Errorf("unspecified expectation diff: %q", d)
 	}
-	if d := DiffPayload(3, []byte{1, 9, 3}, []byte{1, 2, 3}); !strings.Contains(d, "rank 3") {
+	if d := core.DiffPayload(3, []byte{1, 9, 3}, []byte{1, 2, 3}); !strings.Contains(d, "rank 3") {
 		t.Errorf("mismatch not attributed: %q", d)
 	}
-	if d := DiffPayload(0, []byte{1}, []byte{1, 2}); d == "" {
+	if d := core.DiffPayload(0, []byte{1}, []byte{1, 2}); d == "" {
 		t.Error("length mismatch not reported")
 	}
 }
@@ -421,7 +421,7 @@ func TestRunOneCatchesWrongRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := DiffPayload(1, []byte{3, 4}, exp[1]); d == "" {
+	if d := core.DiffPayload(1, []byte{3, 4}, exp[1]); d == "" {
 		t.Error("wrong-root payload passed the oracle")
 	}
 }

@@ -79,7 +79,7 @@ func RunOne(sp Spec) (*RunResult, error) {
 	if fcfg != nil && fcfg.KillProb > 0 {
 		return runRecovered(sp, prof, fcfg)
 	}
-	return runDifferential(sp, prof, fcfg)
+	return runPayload(sp, prof, fcfg, true, false)
 }
 
 // runCluster is the multi-node oracle path: the spec's collective runs
@@ -89,7 +89,7 @@ func RunOne(sp Spec) (*RunResult, error) {
 // network-specific invariants — is evaluated over the traced run.
 func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 	world := sp.Nodes * sp.Procs
-	sendLen, recvLen, err := BufSizes(sp.Kind, world, sp.Count)
+	sendLen, recvLen, err := core.BufSizes(sp.Kind, world, sp.Count)
 	if err != nil {
 		return nil, err
 	}
@@ -114,15 +114,14 @@ func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 	rng := rand.New(rand.NewSource(sp.Seed))
 	send := make([]kernel.Addr, world)
 	recv := make([]kernel.Addr, world)
-	seed := make([]byte, sendLen)
 	snap := make([][]byte, world)
 	for w := 0; w < world; w++ {
 		p := cl.WorldRank(w).OS
 		send[w] = p.Alloc(sendLen)
 		recv[w] = p.Alloc(recvLen)
-		rng.Read(seed)
-		p.WriteAt(send[w], seed)
-		snap[w] = append([]byte(nil), seed...)
+		snap[w] = make([]byte, sendLen)
+		rng.Read(snap[w])
+		p.WriteAt(send[w], snap[w])
 		p.FillAt(recv[w], recvLen, 0xEE)
 	}
 	var skew []float64
@@ -150,40 +149,13 @@ func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 	res.NetChunk = cl.Fabric.ChunkBytes
 	for _, comm := range cl.Nodes {
 		if plan := comm.FaultPlan(); plan != nil {
-			s := plan.Stats()
-			res.Stats.Transients += s.Transients
-			res.Stats.Partials += s.Partials
-			res.Stats.LockSpikes += s.LockSpikes
-			res.Stats.ShmStalls += s.ShmStalls
-			res.Stats.Retries += s.Retries
-			res.Stats.BackoffTime += s.BackoffTime
-			res.Stats.Fallbacks += s.Fallbacks
-			res.Stats.BounceOps += s.BounceOps
-			res.Stats.BounceBytes += s.BounceBytes
+			res.Stats.Add(plan.Stats())
 		}
 	}
-
-	exp, err := Reference(sp.Kind, world, sp.Count, sp.Root, snap)
+	err = core.Verify(sp.Kind, sp.Count, sp.Root, snap,
+		func(w int) *kernel.Process { return cl.WorldRank(w).OS }, send, recv)
 	if err != nil {
-		return res, err
-	}
-	var diffs []string
-	for w := 0; w < world; w++ {
-		got := cl.WorldRank(w).OS.Bytes(recv[w], recvLen)
-		if d := DiffPayload(w, got, exp[w]); d != "" {
-			diffs = append(diffs, d)
-		}
-	}
-	if len(diffs) > 0 {
-		return res, fmt.Errorf("check: %s: differential mismatch vs reference executor: %s", sp, strings.Join(diffs, "; "))
-	}
-	for w := 0; w < world; w++ {
-		got := cl.WorldRank(w).OS.Bytes(send[w], sendLen)
-		for i := range got {
-			if got[i] != snap[w][i] {
-				return res, fmt.Errorf("check: %s: rank %d send buffer mutated at offset %d", sp, w, i)
-			}
-		}
+		return res, fmt.Errorf("check: %s: %v", sp, err)
 	}
 	err = violationsErr(res)
 	if err == nil {
@@ -196,11 +168,10 @@ func runCluster(sp Spec, prof *arch.Profile) (*RunResult, error) {
 // permanently kills ranks mid-collective across the fabric, so the run
 // goes through the world-level recovery harness (fabric-crossing
 // detection, world agreement, two-tier shrink, leader re-election,
-// re-run). The harness verifies the re-run closed-form; this wrapper
-// additionally replays the survivors' snapshots through the independent
-// sequential reference executor at the survivor world size, then runs
-// the invariant registry — including the three recovery invariants —
-// over the traced cycle.
+// re-run), which checks every survivor's re-run payload against
+// core.Reference at the survivor world size. The invariant registry —
+// including the three recovery invariants — then runs over the traced
+// cycle.
 func runClusterRecovered(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunResult, error) {
 	lcfg := liveness.Defaults()
 	if sp.Deadline > 0 {
@@ -218,74 +189,34 @@ func runClusterRecovered(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunR
 		return res, fmt.Errorf("check: %s: cluster recovery harness: %v", sp, err)
 	}
 	res.Latency = cres.FirstLatency
-	if cres.Err != nil && cres.RecvSnap != nil {
-		// Independent oracle: every survivor's re-run receive buffer vs
-		// the reference executor at the survivor world size.
-		exp, rerr := Reference(sp.Kind, cres.Survivors, sp.Count, cres.NewRoot, cres.SendSnap)
-		if rerr != nil {
-			return res, rerr
-		}
-		var diffs []string
-		for id := 0; id < cres.Survivors; id++ {
-			if d := DiffPayload(id, cres.RecvSnap[id], exp[id]); d != "" {
-				diffs = append(diffs, d)
-			}
-		}
-		if len(diffs) > 0 {
-			return res, fmt.Errorf("check: %s: re-run differential mismatch vs reference executor: %s", sp, strings.Join(diffs, "; "))
-		}
-	}
 	return res, violationsErr(res)
 }
 
-// runDifferential is the oracle path: seeded payloads in, algorithm
-// runs traced, receive buffers compared byte-for-byte against
-// Reference, then the invariant registry.
-func runDifferential(sp Spec, prof *arch.Profile, fcfg *fault.Config) (*RunResult, error) {
-	return runPayload(sp, prof, fcfg, true, false)
-}
-
-// runPayload is one arm of a payload-carrying execution. materialize
-// selects real bytes (CopyData) and with them the byte-level oracle
-// comparison against the reference executor; track selects per-page
-// digest folding (mpi.Config.Sparse). The two knobs are independent:
-// (true, false) is the classic differential path, (true, true) and
-// (false, true) are the two arms SparseCrossCheck compares. Seeding
-// goes through the kernel's WriteAt/FillAt payload layer — never a raw
-// Bytes slice — so both arms fold identical content digests from an
-// identical rng stream.
+// runPayload is one arm of a payload-carrying execution through
+// measure's single-node timed window. materialize selects real bytes
+// (CopyData) and with them the byte-level oracle comparison against
+// core.Reference; track selects per-page digest folding
+// (mpi.Config.Sparse). The two knobs are independent: (true, false) is
+// the classic differential path, (true, true) and (false, true) are the
+// two arms SparseCrossCheck compares. Both arms seed through the
+// kernel's payload layer from an identical rng stream — the payload
+// bytes first, then the skew draws — so they fold identical content
+// digests.
 func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, track bool) (*RunResult, error) {
 	algo, err := core.LookupAlgorithm(sp.Kind, sp.Algo)
 	if err != nil {
 		return nil, err
 	}
 	p := sp.Procs
-	sendLen, recvLen, err := BufSizes(sp.Kind, p, sp.Count)
+	sendLen, _, err := core.BufSizes(sp.Kind, p, sp.Count)
 	if err != nil {
 		return nil, err
 	}
-	mem := (8*int64(p) + 16) * (sp.Count + int64(prof.PageSize))
-	if mem < 1<<20 {
-		mem = 1 << 20
-	}
-	c := mpi.New(mpi.Config{Arch: prof, Procs: p, CopyData: materialize, Sparse: track, MemPerProc: mem, Ambient: sp.Ambient, Fault: fcfg})
-	rec := trace.NewUnbound()
-	c.AttachTrace(rec)
-	plan := c.FaultPlan()
-
 	rng := rand.New(rand.NewSource(sp.Seed))
-	send := make([]kernel.Addr, p)
-	recv := make([]kernel.Addr, p)
-	seed := make([]byte, sendLen)
-	snap := make([][]byte, p)
-	for r := 0; r < p; r++ {
-		rank := c.Rank(r)
-		send[r] = rank.Alloc(sendLen)
-		recv[r] = rank.Alloc(recvLen)
-		rng.Read(seed)
-		rank.OS.WriteAt(send[r], seed)
-		snap[r] = append([]byte(nil), seed...)
-		rank.OS.FillAt(recv[r], recvLen, 0xEE)
+	sends := make([][]byte, p)
+	for r := range sends {
+		sends[r] = make([]byte, sendLen)
+		rng.Read(sends[r])
 	}
 	var skew []float64
 	if sp.Skew > 0 {
@@ -295,62 +226,14 @@ func runPayload(sp Spec, prof *arch.Profile, fcfg *fault.Config, materialize, tr
 		}
 	}
 
-	starts := make([]float64, p)
-	ends := make([]float64, p)
-	c.Start(func(r *mpi.Rank) {
-		r.Barrier()
-		if skew != nil {
-			r.SP.Sleep(skew[r.ID])
-		}
-		starts[r.ID] = r.SP.Now()
-		if d := plan.StragglerDelay(r.ID, 0); d > 0 {
-			rec.Instant(r.ID, trace.CatFault, "straggle", trace.F("delay", d))
-			r.SP.Sleep(d)
-		}
-		algo.Run(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: sp.Count, Root: sp.Root})
-		ends[r.ID] = r.SP.Now()
-		r.Barrier()
-	})
-	res := &RunResult{Spec: sp, Rec: rec, Procs: p}
-	if err := c.Sim.Run(); err != nil {
-		return res, fmt.Errorf("check: %s: simulation failed: %v", sp, err)
-	}
-	res.Latency = maxOf(ends) - maxOf(starts)
-	res.Stats = plan.Stats()
-	res.Events = c.Sim.EventsProcessed()
-	if track {
-		res.Digests = make([]uint64, p)
-		for r := range res.Digests {
-			res.Digests[r] = c.Rank(r).OS.MemDigest()
-		}
-	}
-
-	if materialize {
-		// Differential comparison against the reference executor.
-		exp, err := Reference(sp.Kind, p, sp.Count, sp.Root, snap)
-		if err != nil {
-			return res, err
-		}
-		var diffs []string
-		for r := 0; r < p; r++ {
-			got := c.Rank(r).OS.Bytes(recv[r], recvLen)
-			if d := DiffPayload(r, got, exp[r]); d != "" {
-				diffs = append(diffs, d)
-			}
-		}
-		if len(diffs) > 0 {
-			return res, fmt.Errorf("check: %s: differential mismatch vs reference executor: %s", sp, strings.Join(diffs, "; "))
-		}
-
-		// Sends must be untouched: the collective owns only Recv.
-		for r := 0; r < p; r++ {
-			got := c.Rank(r).OS.Bytes(send[r], sendLen)
-			for i := range got {
-				if got[i] != snap[r][i] {
-					return res, fmt.Errorf("check: %s: rank %d send buffer mutated at offset %d", sp, r, i)
-				}
-			}
-		}
+	rec := trace.NewUnbound()
+	t, err := measure.Window{Kind: sp.Kind, Algo: algo.Run, Count: sp.Count, Root: sp.Root,
+		Sends: sends, Skew: skew, Rec: rec}.Run(
+		mpi.Config{Arch: prof, Procs: p, CopyData: materialize, Sparse: track, Ambient: sp.Ambient, Fault: fcfg})
+	res := &RunResult{Spec: sp, Rec: rec, Procs: p, Latency: t.Latency, Stats: t.Stats,
+		Events: t.Events, Digests: t.Digests}
+	if err != nil {
+		return res, fmt.Errorf("check: %s: %v", sp, err)
 	}
 
 	// The closed forms model a dedicated machine; ambient pressure bends
@@ -398,14 +281,4 @@ func violationsErr(res *RunResult) error {
 		msgs[i] = v.Error()
 	}
 	return fmt.Errorf("check: %s: %d invariant violation(s): %s", res.Spec, len(vs), strings.Join(msgs, "; "))
-}
-
-func maxOf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -9,23 +8,6 @@ import (
 	"camc/internal/core"
 	"camc/internal/kernel"
 )
-
-// collBufSizes returns (send, recv) buffer sizes for one rank of a
-// world-size-p cluster collective.
-func collBufSizes(kind core.Kind, p int, count int64) (int64, int64) {
-	switch kind {
-	case core.KindScatter:
-		return int64(p) * count, count
-	case core.KindGather:
-		return count, int64(p) * count
-	case core.KindAlltoall:
-		return int64(p) * count, int64(p) * count
-	case core.KindAllgather:
-		return count, int64(p) * count
-	default: // bcast, reduce
-		return count, count
-	}
-}
 
 func sendPattern(w int, size int64) []byte {
 	b := make([]byte, size)
@@ -35,57 +17,9 @@ func sendPattern(w int, size int64) []byte {
 	return b
 }
 
-// collExpect computes world rank w's expected receive bytes, nil where
-// the collective leaves them unspecified (everything but the root's for
-// rooted kinds; a bcast root's own receive buffer is untouched).
-func collExpect(kind core.Kind, p int, count int64, root, w int, sends [][]byte) []byte {
-	switch kind {
-	case core.KindBcast:
-		if w == root {
-			return nil
-		}
-		return sends[root]
-	case core.KindGather:
-		if w != root {
-			return nil
-		}
-		exp := make([]byte, 0, int64(p)*count)
-		for s := 0; s < p; s++ {
-			exp = append(exp, sends[s]...)
-		}
-		return exp
-	case core.KindScatter:
-		return sends[root][int64(w)*count : int64(w+1)*count]
-	case core.KindAllgather:
-		exp := make([]byte, 0, int64(p)*count)
-		for s := 0; s < p; s++ {
-			exp = append(exp, sends[s]...)
-		}
-		return exp
-	case core.KindAlltoall:
-		exp := make([]byte, 0, int64(p)*count)
-		for s := 0; s < p; s++ {
-			exp = append(exp, sends[s][int64(w)*count:int64(w+1)*count]...)
-		}
-		return exp
-	case core.KindReduce:
-		if w != root {
-			return nil
-		}
-		exp := make([]byte, count)
-		for s := 0; s < p; s++ {
-			for i := range exp {
-				exp[i] += sends[s][i]
-			}
-		}
-		return exp
-	}
-	panic("unknown kind " + string(kind))
-}
-
 // TestClusterCollectivesMatchOracle runs every kind under every design
-// on materialized payload and checks the delivered bytes against a
-// sequential oracle — including non-power-of-two node counts, a
+// on materialized payload and checks the delivered bytes against the
+// sequential oracle (core.Verify) — including non-power-of-two node counts, a
 // non-zero root, and both topologies.
 func TestClusterCollectivesMatchOracle(t *testing.T) {
 	cases := []struct {
@@ -112,7 +46,7 @@ func TestClusterCollectivesMatchOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					world := cl.WorldSize()
-					sendSize, recvSize := collBufSizes(kind, world, count)
+					sendSize, recvSize, _ := core.BufSizes(kind, world, count)
 					sends := make([][]byte, world)
 					sendA := make([]kernel.Addr, world)
 					recvA := make([]kernel.Addr, world)
@@ -129,18 +63,9 @@ func TestClusterCollectivesMatchOracle(t *testing.T) {
 					}); err != nil {
 						t.Fatal(err)
 					}
-					for w := 0; w < world; w++ {
-						p := cl.WorldRank(w).OS
-						if got := p.Bytes(sendA[w], sendSize); !bytes.Equal(got, sends[w]) {
-							t.Errorf("rank %d: send buffer mutated", w)
-						}
-						exp := collExpect(kind, world, count, tc.root, w, sends)
-						if exp == nil {
-							continue
-						}
-						if got := p.Bytes(recvA[w], recvSize); !bytes.Equal(got, exp) {
-							t.Errorf("rank %d: recv payload mismatch", w)
-						}
+					if err := core.Verify(kind, count, tc.root, sends,
+						func(w int) *kernel.Process { return cl.WorldRank(w).OS }, sendA, recvA); err != nil {
+						t.Error(err)
 					}
 				})
 			}
@@ -161,7 +86,7 @@ func TestClusterCollectivesDeterministic(t *testing.T) {
 				}
 				world := cl.WorldSize()
 				count := int64(8 << 10)
-				sendSize, recvSize := collBufSizes(kind, world, count)
+				sendSize, recvSize, _ := core.BufSizes(kind, world, count)
 				done, err := cl.Run(func(r *Rank) {
 					send := r.Alloc(sendSize)
 					recv := r.Alloc(recvSize)
@@ -197,7 +122,7 @@ func TestLeaderBeatsFlatAtScale(t *testing.T) {
 			}
 			world := cl.WorldSize()
 			count := int64(16 << 10)
-			sendSize, recvSize := collBufSizes(kind, world, count)
+			sendSize, recvSize, _ := core.BufSizes(kind, world, count)
 			done, err := cl.Run(func(r *Rank) {
 				send := r.Alloc(sendSize)
 				recv := r.Alloc(recvSize)

@@ -140,6 +140,22 @@ type Stats struct {
 	Kills       int64   // permanent rank deaths enacted
 }
 
+// Add accumulates s into t, field by field: the total over several
+// plans (one per node of a cluster, one per cell of a sweep).
+func (t *Stats) Add(s Stats) {
+	t.Transients += s.Transients
+	t.Partials += s.Partials
+	t.LockSpikes += s.LockSpikes
+	t.ShmStalls += s.ShmStalls
+	t.Stragglers += s.Stragglers
+	t.Retries += s.Retries
+	t.BackoffTime += s.BackoffTime
+	t.Fallbacks += s.Fallbacks
+	t.BounceOps += s.BounceOps
+	t.BounceBytes += s.BounceBytes
+	t.Kills += s.Kills
+}
+
 // Plan is one simulation's fault schedule. Create with New; a nil *Plan
 // is inert (every decision method reports "no fault"), so the stack can
 // thread a possibly-nil plan without guarding each call site.

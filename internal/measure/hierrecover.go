@@ -33,8 +33,7 @@ type ClusterOptions struct {
 	MaxSkew  float64
 
 	// CopyData materializes payload bytes: the attempt and the re-run
-	// are then verified byte-level against the deterministic pattern
-	// (and snapshots are returned for external oracles). Dataless runs
+	// are then verified byte-level against core.Reference. Dataless runs
 	// move cost only and skip verification.
 	CopyData bool
 }
@@ -57,12 +56,6 @@ type ClusterRecoveryResult struct {
 	OldWorld []int
 	NewRoot  int
 
-	// SendSnap and RecvSnap are the survivors' re-run buffers by new id
-	// (CopyData runs only): the send pattern each survivor offered and
-	// the bytes its receive buffer held after the re-run. External
-	// oracles (the check package's reference executor) consume these.
-	SendSnap, RecvSnap [][]byte
-
 	// Residue is what the aborted attempt left in the fabric's flow
 	// queues: messages addressed to ranks that died before receiving
 	// them. Every entry's To must be a failed rank — survivors drained
@@ -82,18 +75,33 @@ type ClusterRecoveryResult struct {
 // detection, world agreement, two-tier shrink, deterministic leader
 // re-election, and a verified re-run over the survivor world.
 func ClusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, intraSpec string, count int64, opts ClusterOptions) (ClusterRecoveryResult, error) {
-	return clusterRecovered(a, kind, design, intraSpec, count, opts, nil)
+	return clusterRecovered(a, kind, lookup(kind, design, intraSpec), intraSpec, count, opts, nil)
 }
 
 // ClusterRecoveredTraced measures exactly like ClusterRecovered with a
 // trace recorder attached, returning the recorder alongside the result.
 func ClusterRecoveredTraced(a *arch.Profile, kind core.Kind, design cluster.Design, intraSpec string, count int64, opts ClusterOptions) (ClusterRecoveryResult, *trace.Recorder, error) {
 	rec := trace.NewUnbound()
-	res, err := clusterRecovered(a, kind, design, intraSpec, count, opts, rec)
+	res, err := clusterRecovered(a, kind, lookup(kind, design, intraSpec), intraSpec, count, opts, rec)
 	return res, rec, err
 }
 
-func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, intraSpec string, count int64, opts ClusterOptions, rec *trace.Recorder) (ClusterRecoveryResult, error) {
+// resolver builds the first attempt's collective on a cluster,
+// returning its name and its run function.
+type resolver func(*cluster.Cluster) (string, func(*cluster.Rank, cluster.Args), error)
+
+// lookup resolves the (kind, design, intraSpec) collective.
+func lookup(kind core.Kind, design cluster.Design, intraSpec string) resolver {
+	return func(cl *cluster.Cluster) (string, func(*cluster.Rank, cluster.Args), error) {
+		coll, err := cluster.Lookup(cl, kind, design, intraSpec)
+		return coll.Name, coll.Run, err
+	}
+}
+
+// clusterRecovered runs the collective resolve builds for the first
+// attempt; a re-run after a shrink replans intraSpec on the survivor
+// world.
+func clusterRecovered(a *arch.Profile, kind core.Kind, resolve resolver, intraSpec string, count int64, opts ClusterOptions, rec *trace.Recorder) (ClusterRecoveryResult, error) {
 	lcfg := liveness.Defaults()
 	if opts.Liveness != nil {
 		lcfg = *opts.Liveness
@@ -103,26 +111,26 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 		CopyData: opts.CopyData, Fault: opts.Fault, Liveness: &lcfg, Kills: opts.Kills,
 	})
 	world := cl.WorldSize()
-	coll, err := cluster.Lookup(cl, kind, design, intraSpec)
+	name, run, err := resolve(cl)
 	if err != nil {
 		return ClusterRecoveryResult{}, err
 	}
 	cl.AttachTrace(rec)
 
-	sendLen, recvLen, err := bufSizes(kind, world, count)
+	sendLen, recvLen, err := core.BufSizes(kind, world, count)
 	if err != nil {
 		return ClusterRecoveryResult{}, err
 	}
+	// sends and sends2 hold the payloads of the attempt and the re-run
+	// (CopyData only); a nil entry places a dataless buffer.
+	sends := make([][]byte, world)
+	if cl.CopyData {
+		sends = payloads(world, sendLen)
+	}
 	send := make([]kernel.Addr, world)
 	recv := make([]kernel.Addr, world)
-	for w := 0; w < world; w++ {
-		p := cl.WorldRank(w).OS
-		send[w] = p.Alloc(sendLen)
-		recv[w] = p.Alloc(recvLen)
-		if cl.CopyData {
-			p.WriteAt(send[w], patternSend(kind, world, w, count, sendLen))
-			p.FillAt(recv[w], recvLen, 0xEE)
-		}
+	for w := range sends {
+		send[w], recv[w] = place(cl.WorldRank(w).OS, sends[w], sendLen, recvLen)
 	}
 	var skew []float64
 	if opts.MaxSkew > 0 {
@@ -143,9 +151,11 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	survived := make([]bool, world)
 
 	// Survivor state published by the rank goroutines (single scheduling
-	// token; plain writes are safe). recv2/send2 are indexed by NEW id.
-	recv2 := make([]kernel.Addr, world)
+	// token; plain writes are safe). The re-run buffers are indexed by
+	// NEW id.
+	sends2 := make([][]byte, world)
 	send2 := make([]kernel.Addr, world)
+	recv2 := make([]kernel.Addr, world)
 	var sh *cluster.Shrunk
 
 	done, runErr := cl.Run(func(r *cluster.Rank) {
@@ -156,7 +166,7 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 			if skew != nil {
 				r.SP.Sleep(skew[w])
 			}
-			coll.Run(r, cluster.Args{Send: send[w], Recv: recv[w], Count: count, Root: opts.Root})
+			run(r, cluster.Args{Send: send[w], Recv: recv[w], Count: count, Root: opts.Root})
 		})
 		attemptEnds[w] = float64(r.SP.Now())
 		verdict := r.WorldAgree(localErr)
@@ -179,20 +189,14 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 		if id == 0 {
 			sh = shr
 		}
-		sl2, rl2, serr := bufSizes(kind, shr.NewSize, count)
-		if serr != nil {
-			panic(serr)
-		}
-		s2 := nr.Alloc(sl2)
-		r2 := nr.Alloc(rl2)
-		send2[id], recv2[id] = s2, r2
+		sl2, rl2, _ := core.BufSizes(kind, shr.NewSize, count)
 		if cl.CopyData {
-			nr.OS.WriteAt(s2, patternSend(kind, shr.NewSize, id, count, sl2))
-			nr.OS.FillAt(r2, rl2, 0xEE)
+			sends2[id] = payload(id, sl2)
 		}
+		send2[id], recv2[id] = place(nr.OS, sends2[id], sl2, rl2)
 		nr.WorldBarrier(shr.NewSize)
 		rerunStarts[w] = float64(r.SP.Now())
-		cluster.Rerun(nr, shr, kind, intraSpec, cluster.Args{Send: s2, Recv: r2, Count: count, Root: shr.NewRoot})
+		cluster.Rerun(nr, shr, kind, intraSpec, cluster.Args{Send: send2[id], Recv: recv2[id], Count: count, Root: shr.NewRoot})
 		nr.WorldBarrier(shr.NewSize)
 		rerunEnds[w] = float64(r.SP.Now())
 	})
@@ -200,11 +204,11 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	res := ClusterRecoveryResult{
 		Links: cl.Fabric.LinkStats(), NetBeta: cl.Fabric.Beta, NetChunk: cl.Fabric.ChunkBytes,
 	}
-	res.Algorithm = coll.Name
+	res.Algorithm = name
 	res.Survivors = world
 	for _, comm := range cl.Nodes {
 		if plan := comm.FaultPlan(); plan != nil {
-			addStats(&res.Stats, plan.Stats())
+			res.Stats.Add(plan.Stats())
 		}
 	}
 	if runErr != nil {
@@ -236,11 +240,8 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 			cluster.Release(cl)
 			return res, nil
 		}
-		snap := make([][]byte, world)
-		for w := 0; w < world; w++ {
-			snap[w] = append([]byte(nil), cl.WorldRank(w).OS.Bytes(recv[w], recvLen)...)
-		}
-		verr := verifySnap(kind, world, opts.Root, count, snap)
+		verr := core.Verify(kind, count, opts.Root, sends,
+			func(w int) *kernel.Process { return cl.WorldRank(w).OS }, send, recv)
 		if verr == nil {
 			cluster.Release(cl)
 		}
@@ -275,103 +276,7 @@ func clusterRecovered(a *arch.Profile, kind core.Kind, design cluster.Design, in
 	if !cl.CopyData {
 		return res, nil
 	}
-	sl2, rl2, _ := bufSizes(kind, sh.NewSize, count)
-	res.SendSnap = make([][]byte, sh.NewSize)
-	res.RecvSnap = make([][]byte, sh.NewSize)
-	for id := 0; id < sh.NewSize; id++ {
-		p := cl.WorldRank(sh.OldWorld[id]).OS
-		res.SendSnap[id] = append([]byte(nil), p.Bytes(send2[id], sl2)...)
-		res.RecvSnap[id] = append([]byte(nil), p.Bytes(recv2[id], rl2)...)
-	}
-	return res, verifySnap(kind, sh.NewSize, sh.NewRoot, count, res.RecvSnap)
-}
-
-// addStats accumulates one node plan's counters into the total.
-func addStats(t *fault.Stats, s fault.Stats) {
-	t.Transients += s.Transients
-	t.Partials += s.Partials
-	t.LockSpikes += s.LockSpikes
-	t.ShmStalls += s.ShmStalls
-	t.Stragglers += s.Stragglers
-	t.Retries += s.Retries
-	t.BackoffTime += s.BackoffTime
-	t.Fallbacks += s.Fallbacks
-	t.BounceOps += s.BounceOps
-	t.BounceBytes += s.BounceBytes
-	t.Kills += s.Kills
-}
-
-// patternSend builds rank's send buffer contents for a p-rank
-// communicator: the same deterministic pattern fillPattern writes.
-func patternSend(kind core.Kind, p, rank int, count, sendLen int64) []byte {
-	buf := make([]byte, sendLen)
-	switch kind {
-	case core.KindScatter, core.KindAlltoall:
-		for d := 0; d < p; d++ {
-			for i := int64(0); i < count; i++ {
-				buf[int64(d)*count+i] = checkPattern(rank, d, i)
-			}
-		}
-	default:
-		for i := int64(0); i < count; i++ {
-			buf[i] = checkPattern(rank, 0, i)
-		}
-	}
-	return buf
-}
-
-// verifySnap checks receive-buffer snapshots (indexed by rank) against
-// the deterministic pattern, per MPI semantics of kind — the
-// snapshot-based twin of verifyPayloads.
-func verifySnap(kind core.Kind, procs, root int, count int64, recv [][]byte) error {
-	check := func(rank int, off int64, want byte, what string) error {
-		if got := recv[rank][off]; got != want {
-			return fmt.Errorf("measure: %s payload wrong at rank %d offset %d: got %#x, want %#x",
-				what, rank, off, got, want)
-		}
-		return nil
-	}
-	for r := 0; r < procs; r++ {
-		for i := int64(0); i < count; i++ {
-			var err error
-			switch kind {
-			case core.KindScatter:
-				err = check(r, i, checkPattern(root, r, i), "scatter")
-			case core.KindGather:
-				if r == root {
-					for src := 0; src < procs; src++ {
-						if e := check(r, int64(src)*count+i, checkPattern(src, 0, i), "gather"); e != nil {
-							return e
-						}
-					}
-				}
-			case core.KindAllgather, core.KindAlltoall:
-				for src := 0; src < procs; src++ {
-					want := checkPattern(src, 0, i)
-					if kind == core.KindAlltoall {
-						want = checkPattern(src, r, i)
-					}
-					if e := check(r, int64(src)*count+i, want, string(kind)); e != nil {
-						return e
-					}
-				}
-			case core.KindBcast:
-				if r != root {
-					err = check(r, i, checkPattern(root, 0, i), "bcast")
-				}
-			case core.KindReduce:
-				if r == root {
-					var sum byte
-					for src := 0; src < procs; src++ {
-						sum += checkPattern(src, 0, i)
-					}
-					err = check(r, i, sum, "reduce")
-				}
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	n := sh.NewSize
+	return res, core.Verify(kind, count, sh.NewRoot, sends2[:n],
+		func(id int) *kernel.Process { return cl.WorldRank(sh.OldWorld[id]).OS }, send2[:n], recv2[:n])
 }

@@ -54,7 +54,11 @@ type RecoveryResult struct {
 // count would produce. If no rank dies, the first run's payload is
 // verified instead and the recovery latencies are zero.
 func CollectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int64, opts Options) (RecoveryResult, error) {
-	return collectiveRecovered(a, kind, spec, count, opts, nil)
+	algo, err := core.LookupAlgorithm(kind, spec)
+	if err != nil {
+		return RecoveryResult{}, err
+	}
+	return collectiveRecovered(a, kind, algo, spec, count, opts, nil)
 }
 
 // CollectiveRecoveredTraced measures exactly like CollectiveRecovered
@@ -62,48 +66,41 @@ func CollectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 // "liveness" category), returning the recorder alongside the result.
 func CollectiveRecoveredTraced(a *arch.Profile, kind core.Kind, spec string, count int64, opts Options) (RecoveryResult, *trace.Recorder, error) {
 	rec := trace.NewUnbound()
-	res, err := collectiveRecovered(a, kind, spec, count, opts, rec)
+	algo, err := core.LookupAlgorithm(kind, spec)
+	if err != nil {
+		return RecoveryResult{}, rec, err
+	}
+	res, err := collectiveRecovered(a, kind, algo, spec, count, opts, rec)
 	return res, rec, err
 }
 
-func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int64, opts Options, rec *trace.Recorder) (RecoveryResult, error) {
-	procs := opts.Procs
-	if procs == 0 {
-		procs = a.DefaultProcs
-	}
+// collectiveRecovered runs algo (spec resolved) for the first attempt;
+// a re-run after a shrink replans spec for the survivor count.
+func collectiveRecovered(a *arch.Profile, kind core.Kind, algo core.Algorithm, spec string, count int64, opts Options, rec *trace.Recorder) (RecoveryResult, error) {
+	cfg := opts.config(a, true)
+	procs := cfg.Procs
 	root := opts.Root
-	algo, err := core.LookupAlgorithm(kind, spec)
+	sendLen, recvLen, err := core.BufSizes(kind, procs, count)
 	if err != nil {
 		return RecoveryResult{}, err
 	}
-	lcfg := opts.Liveness
-	if lcfg == nil {
+	if cfg.Liveness == nil {
 		d := liveness.Defaults()
-		lcfg = &d
+		cfg.Liveness = &d
 	}
-	mem := opts.Mem
-	if mem == 0 {
-		mem = (8*int64(procs) + 16) * (count + int64(a.PageSize))
-		if mem < 1<<20 {
-			mem = 1 << 20
-		}
+	if cfg.MemPerProc == 0 {
+		cfg.MemPerProc = memFor(a, procs, count, 1)
 	}
-	c := mpi.New(mpi.Config{Arch: a, Procs: procs, CopyData: true, MemPerProc: mem,
-		Mechanism: opts.Mechanism, Ambient: opts.Ambient, Fault: opts.Fault, Liveness: lcfg})
+	c := mpi.New(cfg)
 	c.AttachTrace(rec)
 	plan := c.FaultPlan()
 	board := c.Liveness() // pre-shrink board: holds death + agreement instants
 
-	sendLen, recvLen, err := bufSizes(kind, procs, count)
-	if err != nil {
-		return RecoveryResult{}, err
-	}
+	sends := payloads(procs, sendLen)
 	send := make([]kernel.Addr, procs)
 	recv := make([]kernel.Addr, procs)
-	for r := 0; r < procs; r++ {
-		send[r] = c.Rank(r).Alloc(sendLen)
-		recv[r] = c.Rank(r).Alloc(recvLen)
-		fillPattern(c, kind, r, count, send[r], recv[r], sendLen, recvLen)
+	for r := range sends {
+		send[r], recv[r] = place(c.Rank(r).OS, sends[r], sendLen, recvLen)
 	}
 
 	// Per-original-rank instants; killed ranks leave their slots at 0 and
@@ -117,9 +114,11 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	survived := make([]bool, procs)
 
 	// Survivor-communicator state, published by the rank goroutines (the
-	// simulator runs one at a time, so plain writes are safe). recv2 is
-	// indexed by post-shrink rank ID; only the first Survivors entries
-	// are used.
+	// simulator runs one at a time, so plain writes are safe). The
+	// re-run buffers are indexed by post-shrink rank ID; only the first
+	// Survivors entries are used.
+	sends2 := make([][]byte, procs)
+	send2 := make([]kernel.Addr, procs)
 	recv2 := make([]kernel.Addr, procs)
 	var (
 		shrunk    *mpi.Comm
@@ -131,12 +130,7 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 		localErr := r.Protected(func() {
 			r.Barrier()
 			starts[r.ID] = r.SP.Now()
-			if d := plan.StragglerDelay(r.ID, 0); d > 0 {
-				if rec != nil {
-					rec.Instant(r.Lane(), trace.CatFault, "straggle", trace.F("delay", d))
-				}
-				r.SP.Sleep(d)
-			}
+			straggle(r, plan, 0)
 			algo.Run(r, core.Args{Send: send[r.ID], Recv: recv[r.ID], Count: count, Root: root})
 			r.Barrier()
 		})
@@ -167,17 +161,12 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 		if nr.ID == 0 {
 			shrunk, newRoot, rerunName = nc, nroot, nalgo.Name
 		}
-		sl2, rl2, serr := bufSizes(kind, nc.Size(), count)
-		if serr != nil {
-			panic(serr)
-		}
-		send2 := nr.Alloc(sl2)
-		r2 := nr.Alloc(rl2)
-		recv2[nr.ID] = r2
-		fillPattern(nc, kind, nr.ID, count, send2, r2, sl2, rl2)
+		sl2, rl2, _ := core.BufSizes(kind, nc.Size(), count)
+		sends2[nr.ID] = payload(nr.ID, sl2)
+		send2[nr.ID], recv2[nr.ID] = place(nr.OS, sends2[nr.ID], sl2, rl2)
 		nr.Barrier()
 		rerunStarts[r.ID] = r.SP.Now()
-		nalgo.Run(nr, core.Args{Send: send2, Recv: r2, Count: count, Root: nroot})
+		nalgo.Run(nr, core.Args{Send: send2[nr.ID], Recv: recv2[nr.ID], Count: count, Root: nroot})
 		nr.Barrier()
 		rerunEnds[r.ID] = r.SP.Now()
 	})
@@ -207,7 +196,7 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 
 	if verdict == nil {
 		// Clean run: ordinary payload verification, nothing shrank.
-		return res, verifyPayloads(c, kind, root, count, recv)
+		return res, verifyComm(c, kind, count, root, sends, send, recv)
 	}
 	pd, ok := verdict.(*liveness.PeerDeadError)
 	if !ok {
@@ -228,7 +217,13 @@ func collectiveRecovered(a *arch.Profile, kind core.Kind, spec string, count int
 	res.ShrinkLatency = maxWhere(shrinkEnds, survived) - float64(agreedAt)
 	res.RerunLatency = maxWhere(rerunEnds, survived) - maxWhere(rerunStarts, survived)
 	res.Stats = plan.Stats()
-	return res, verifyPayloads(shrunk, kind, newRoot, count, recv2)
+	n := shrunk.Size()
+	return res, verifyComm(shrunk, kind, count, newRoot, sends2[:n], send2[:n], recv2[:n])
+}
+
+// verifyComm runs the core.Verify oracle over communicator c's ranks.
+func verifyComm(c *mpi.Comm, kind core.Kind, count int64, root int, sends [][]byte, send, recv []kernel.Addr) error {
+	return core.Verify(kind, count, root, sends, func(r int) *kernel.Process { return c.Rank(r).OS }, send, recv)
 }
 
 // sameVerdict reports whether two agreed verdicts are equal: both nil,

@@ -179,7 +179,7 @@ func TestRecoveredTracedRecordsLiveness(t *testing.T) {
 // TestRecoveredMatchesFreshRun is the metamorphic property: the payload
 // a shrink-then-rerun leaves in the survivors' buffers is exactly what a
 // fresh communicator of the survivor count would produce — which is what
-// verifyPayloads checks against. Here we additionally pin that the
+// core.Verify checks against. Here we additionally pin that the
 // re-planned algorithm parameters match a direct Replan at the survivor
 // count.
 func TestRecoveredMatchesFreshRun(t *testing.T) {
@@ -201,7 +201,7 @@ func TestRecoveredMatchesFreshRun(t *testing.T) {
 		t.Fatalf("recovered run used %q, direct replan says %q", res.Algorithm, want.Name)
 	}
 	// And a fresh checked run at the survivor count with the re-planned
-	// algorithm passes its own verification (same pattern function).
+	// algorithm passes its own verification (same payload function).
 	if _, _, err := CollectiveChecked(a, core.KindScatter, want.Run, 8<<10, Options{Procs: res.Survivors}); err != nil {
 		t.Fatalf("fresh run at survivor count: %v", err)
 	}

@@ -35,4 +35,9 @@ go test ./...
 echo '== go test -race ./...'
 go test -race -timeout 30m ./...
 
+# perfbench/ is a module of its own (replace camc => ../), so the
+# root-module passes above never compile it; vet and test it in place.
+echo '== perfbench: go vet && go test'
+(cd perfbench && go vet . && go test .)
+
 echo 'verify: OK'
