@@ -188,7 +188,7 @@ type Timing struct {
 // simPool recycles simulations (event-heap backing, Proc and timer free
 // lists) across sweep cells: a successful run leaves every process
 // finished, so the sim Resets cleanly and the next cell's Spawn loop
-// stops re-allocating resume channels.
+// reuses its Proc shells.
 var simPool = sync.Pool{New: func() any { return sim.New() }}
 
 // scratch is the per-cell working set the sweep loop reuses instead of

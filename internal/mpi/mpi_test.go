@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -448,5 +449,28 @@ func TestNewOnNodeSharesSimulation(t *testing.T) {
 	}
 	if doneB <= doneA {
 		t.Fatalf("staggered communicator should finish later: %g vs %g", doneB, doneA)
+	}
+}
+
+// TestBackToBackRunsLeaveNoGoroutines runs many one-shot communicators
+// on fresh simulations, none of which is ever Reset: every rank's
+// coroutine worker must go back to sim's bounded idle list (or end),
+// never stay parked behind a dropped simulation. 1000 runs of 8 ranks
+// spawn twice the idle list's cap, so a leak of one worker per rank
+// would overshoot the bound.
+func TestBackToBackRunsLeaveNoGoroutines(t *testing.T) {
+	const runs, procs = 1000, 8
+	if runs*procs <= sim.MaxIdleWorkers {
+		t.Fatalf("%d runs of %d ranks cannot expose a leak past the %d-worker idle cap", runs, procs, sim.MaxIdleWorkers)
+	}
+	base := runtime.NumGoroutine()
+	cfg := Config{Arch: arch.KNL(), Procs: procs}
+	for i := 0; i < runs; i++ {
+		if _, err := Run(cfg, func(r *Rank) { r.Barrier() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base+sim.MaxIdleWorkers {
+		t.Fatalf("%d goroutines after %d runs, want at most %d (baseline %d + idle cap %d)", n, runs, base+sim.MaxIdleWorkers, base, sim.MaxIdleWorkers)
 	}
 }

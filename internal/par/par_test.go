@@ -1,8 +1,12 @@
 package par
 
 import (
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"camc/internal/sim"
 )
 
 func TestMapOrder(t *testing.T) {
@@ -73,5 +77,46 @@ func TestWorkers(t *testing.T) {
 	}
 	if Workers(0) < 1 || Workers(-1) < 1 {
 		t.Fatal("Workers default")
+	}
+}
+
+// TestParallelSimsShareWorkers runs simulation cells on several
+// goroutines at once, as the -j sweep engine does: every Run takes
+// coroutine workers from, and returns them to, the one package-wide idle
+// list in sim. Each cell must still match the sequential result, and
+// under -race the hand-over of workers between goroutines must be free
+// of data races.
+func TestParallelSimsShareWorkers(t *testing.T) {
+	type outcome struct {
+		now    sim.Time
+		events uint64
+	}
+	cell := func(i int) outcome {
+		s := sim.New()
+		ch := sim.NewChan[int](s, 1)
+		for r := 0; r < 8; r++ {
+			r := r
+			s.Spawn(fmt.Sprintf("r%d", r), func(p *sim.Proc) {
+				for k := 0; k < 16; k++ {
+					p.Sleep(float64(1 + (i+r+k)%3))
+					if r%2 == 0 {
+						ch.Send(p, k)
+					} else {
+						ch.Recv(p)
+					}
+				}
+			})
+		}
+		if err := s.Run(); err != nil {
+			panic(err)
+		}
+		return outcome{s.Now(), s.EventsProcessed()}
+	}
+	const cells = 64
+	want := Map(1, cells, cell)
+	for _, workers := range []int{2, 4} {
+		if got := Map(workers, cells, cell); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: parallel cells %v differ from sequential %v", workers, got, want)
+		}
 	}
 }

@@ -43,10 +43,11 @@ type message struct {
 }
 
 // denseQueueLimit is the rank count up to which the per-pair queues are
-// pre-allocated as a dense nranks² slice. Above it the queues are
-// created lazily in a map: collectives at scale use O(nranks·log nranks)
-// of the nranks² possible pairs, and a dense 64k-rank table would cost
-// tens of gigabytes before the first message moves.
+// indexed through a dense nranks² pointer table. Above it they are
+// keyed in a map: a dense 64k-rank table would cost tens of gigabytes
+// before the first message moves. Either way a queue is created on its
+// pair's first message — collectives use O(nranks·log nranks) of the
+// nranks² possible pairs.
 const denseQueueLimit = 256
 
 // Transport is a shared-memory segment connecting nranks local processes
@@ -54,7 +55,7 @@ const denseQueueLimit = 256
 type Transport struct {
 	node     *kernel.Node
 	nranks   int
-	queues   []*sim.Chan[message]         // dense, index src*nranks+dst; nil above denseQueueLimit
+	queues   []*sim.Chan[message]         // dense, index src*nranks+dst, nil until used; nil table above denseQueueLimit
 	lazy     map[int64]*sim.Chan[message] // sparse, keyed src*nranks+dst
 	lanes    []int                        // trace lane per rank (nil = identity)
 	boardIDs []int                        // liveness board slot per rank (nil = identity)
@@ -65,9 +66,6 @@ func New(node *kernel.Node, nranks int) *Transport {
 	t := &Transport{node: node, nranks: nranks}
 	if nranks <= denseQueueLimit {
 		t.queues = make([]*sim.Chan[message], nranks*nranks)
-		for i := range t.queues {
-			t.queues[i] = sim.NewChan[message](node.Sim, queueDepth)
-		}
 	} else {
 		t.lazy = make(map[int64]*sim.Chan[message])
 	}
@@ -124,12 +122,16 @@ func (t *Transport) queue(src, dst int) *sim.Chan[message] {
 	if src < 0 || src >= t.nranks || dst < 0 || dst >= t.nranks {
 		panic(fmt.Sprintf("shm: rank out of range: %d -> %d (nranks %d)", src, dst, t.nranks))
 	}
+	// Queues are created on first use: creation order varies with the
+	// schedule, but a fresh queue holds no state and channel identity
+	// never feeds the event order, so determinism is unaffected.
 	if t.queues != nil {
-		return t.queues[src*t.nranks+dst]
+		q := &t.queues[src*t.nranks+dst]
+		if *q == nil {
+			*q = sim.NewChan[message](t.node.Sim, queueDepth)
+		}
+		return *q
 	}
-	// Lazy pair: creation order varies with the schedule, but a fresh
-	// queue holds no state and channel identity never feeds the event
-	// order, so determinism is unaffected.
 	key := int64(src)*int64(t.nranks) + int64(dst)
 	q := t.lazy[key]
 	if q == nil {

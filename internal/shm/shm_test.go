@@ -347,3 +347,55 @@ func TestExchangePropertyRandomSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// pairs lists the (src, dst) pairs whose queue the transport has
+// created, in either queue index.
+func (t *Transport) pairs() map[[2]int]bool {
+	got := map[[2]int]bool{}
+	for i, q := range t.queues {
+		if q != nil {
+			got[[2]int{i / t.nranks, i % t.nranks}] = true
+		}
+	}
+	for k := range t.lazy {
+		got[[2]int{int(k / int64(t.nranks)), int(k % int64(t.nranks))}] = true
+	}
+	return got
+}
+
+// TestQueuesCreatedOnFirstUse pins the lazy per-pair queues: a fresh
+// transport owns no channel, and a 64-rank Allgather64 creates exactly
+// the queues of the pairs it messages — the gather edges r -> 0 and the
+// binomial broadcast edges parent -> child — not all 64² of them.
+func TestQueuesCreatedOnFirstUse(t *testing.T) {
+	const n = 64
+	s, _, tr, _ := fixture(n, false)
+	if got := tr.pairs(); len(got) != 0 {
+		t.Fatalf("New(node, %d) created %d queues, want 0", n, len(got))
+	}
+	for r := 0; r < n; r++ {
+		r := r
+		s.Spawn(fmt.Sprintf("r%d", r), func(p *sim.Proc) { tr.Allgather64(p, r, int64(r)) })
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int]bool{}
+	for r := 1; r < n; r++ {
+		want[[2]int{r, 0}] = true
+		mask := 1
+		for mask<<1 <= r {
+			mask <<= 1
+		}
+		want[[2]int{r - mask, r}] = true
+	}
+	got := tr.pairs()
+	if len(got) != len(want) {
+		t.Errorf("Allgather64 over %d ranks created %d queues, want %d", n, len(got), len(want))
+	}
+	for pair := range want {
+		if !got[pair] {
+			t.Errorf("no queue for used pair %d -> %d", pair[0], pair[1])
+		}
+	}
+}

@@ -2,20 +2,22 @@
 // simulator used as the execution substrate for the simulated multi-core
 // node, kernel, and MPI runtime.
 //
-// Simulated processes are goroutines, but exactly one of them runs at any
-// instant: a single scheduling token circulates between the processes and
-// the scheduler. All synchronization primitives (Chan, Mutex, Semaphore,
-// Barrier, WaitGroup) operate in virtual time with FIFO waiter queues and
-// a (time, sequence) ordered event heap, so a simulation run is
-// bit-for-bit reproducible.
+// Simulated processes are coroutines, and exactly one of them runs at any
+// instant: Run's dispatcher loop pops the earliest event and resumes the
+// coroutine of its process, which runs until it blocks — naming the next
+// process to dispatch — or finishes. All synchronization primitives
+// (Chan, Mutex, Semaphore, Barrier, WaitGroup) operate in virtual time
+// with FIFO waiter queues and a (time, sequence) ordered event heap, so a
+// simulation run is bit-for-bit reproducible.
 //
 // The dispatcher is built for throughput: the event heap is a concrete
-// typed heap (no interface boxing per event), a process that yields hands
-// the token directly to the next runnable process (one channel hand-off
-// per dispatch instead of a round-trip through a scheduler goroutine),
-// and the dominant self-wake Sleep pattern — no pending event before the
-// sleeper's own wake-up — advances the clock in place with no heap or
-// channel traffic at all. None of this changes virtual-time results or
+// typed heap (no interface boxing per event), a dispatch is one
+// coroutine switch out of the blocking process and one into the next
+// (no goroutine park or channel hand-off), coroutines come from a
+// package-wide pool so a warmed Spawn allocates nothing, and the
+// dominant self-wake Sleep pattern — no pending event before the
+// sleeper's own wake-up — advances the clock in place with no heap
+// traffic or switch at all. None of this changes virtual-time results or
 // dispatch counts; TestDispatcherRegression pins that equivalence.
 //
 // Virtual time is a float64 measured in microseconds, matching the unit
@@ -36,17 +38,15 @@ type Simulation struct {
 	now       Time
 	seq       uint64
 	events    eventHeap
-	sched     chan schedMsg
 	procs     []*Proc
 	live      int // procs spawned and not yet finished
 	running   bool
 	processed uint64 // events dispatched, for stats/tests
 
-	// Free lists: finished Proc shells (resume channel included) and
-	// consumed timer objects are recycled instead of re-allocated, so a
-	// harness that runs many simulations back to back (Reset between
-	// runs) and the timed-wait hot path stay allocation-free in steady
-	// state.
+	// Free lists: finished Proc shells and consumed timer objects are
+	// recycled instead of re-allocated, so a harness that runs many
+	// simulations back to back (Reset between runs) and the timed-wait
+	// hot path stay allocation-free in steady state.
 	procFree  []*Proc
 	timerFree []*timer
 }
@@ -66,17 +66,8 @@ const (
 	blockedWaitGroup     = "waitgroup wait"
 )
 
-// schedMsg returns the scheduling token to Run: either the heap drained
-// with the sender holding the token, or the sender's body panicked.
-type schedMsg struct {
-	proc     *Proc
-	panicVal any
-}
-
 // New returns an empty simulation at time zero.
-func New() *Simulation {
-	return &Simulation{sched: make(chan schedMsg)}
-}
+func New() *Simulation { return &Simulation{} }
 
 // Now returns the current virtual time in microseconds.
 func (s *Simulation) Now() Time { return s.now }
@@ -85,13 +76,14 @@ func (s *Simulation) Now() Time { return s.now }
 func (s *Simulation) EventsProcessed() uint64 { return s.processed }
 
 // Proc is a simulated process. All methods must be called from the
-// goroutine running the process body.
+// process body.
 type Proc struct {
 	sim       *Simulation
 	id        int
 	name      string
-	resume    chan struct{}
-	fn        func(p *Proc) // body, handed to the goroutine via the struct
+	w         *worker       // coroutine running the body, from first dispatch until it finishes
+	fn        func(p *Proc) // body, handed to the worker via the struct
+	panicVal  any           // recovered body panic, re-raised by Run
 	blockedOn string        // diagnostic: what primitive the proc is blocked on
 	started   bool
 	finished  bool
@@ -233,25 +225,11 @@ func (s *Simulation) schedule(p *Proc, at Time) {
 
 func (s *Simulation) popEvent() event { return s.events.pop() }
 
-// dispatch outcomes for dispatchNext.
-const (
-	dispatchedNone  = iota // heap drained; caller still holds the token
-	dispatchedOther        // token handed to another process
-	dispatchedSelf         // earliest event was the caller's own: clock
-	// advanced in place, token kept (timed waits whose own deadline is
-	// the only pending event — handing the token through the resume
-	// channel to oneself would deadlock the goroutine)
-)
-
-// dispatchNext pops the earliest event and hands the scheduling token to
-// its process. self is the current token holder (nil when called from
-// Run or a finishing process). Only the current token holder may call
-// it.
-func (s *Simulation) dispatchNext(self *Proc) int {
-	for {
-		if len(s.events) == 0 {
-			return dispatchedNone
-		}
+// dispatch pops the earliest live event, advances the clock to it and
+// returns its process; nil when the heap has drained. Only the running
+// process or Run's loop between resumes may call it.
+func (s *Simulation) dispatch() *Proc {
+	for len(s.events) > 0 {
 		e := s.events.pop()
 		if e.tm != nil {
 			stopped := e.tm.stopped
@@ -272,37 +250,29 @@ func (s *Simulation) dispatchNext(self *Proc) int {
 		s.now = e.t
 		s.processed++
 		e.p.blockedOn = ""
-		if e.p == self {
-			return dispatchedSelf
-		}
-		e.p.resume <- struct{}{}
-		return dispatchedOther
+		return e.p
 	}
+	return nil
 }
 
-// yieldToken hands the token to the next runnable process (or back to
-// the scheduler when the heap is empty) and parks until resumed. When
-// the next event is the caller's own wake-up it returns immediately
-// without parking.
-func (p *Proc) yieldToken() {
-	s := p.sim
-	switch s.dispatchNext(p) {
-	case dispatchedSelf:
-		return
-	case dispatchedNone:
-		s.sched <- schedMsg{proc: p}
+// park dispatches the next event and, unless it is the caller's own
+// wake-up (a timed wait whose deadline is the only pending event),
+// suspends the caller's coroutine, handing that event's process to Run.
+func (p *Proc) park() {
+	if next := p.sim.dispatch(); next != p {
+		p.w.yield(next)
 	}
-	<-p.resume
 }
 
 // Spawn registers a new process whose body is fn. If called before Run,
 // the process starts at time zero; if called from a running process, it
 // starts at the current virtual time. Spawn order breaks scheduling ties.
 //
-// Proc shells (struct plus resume channel) come off the free list that
-// Reset fills, so a harness running many simulations back to back only
-// pays one goroutine start per spawn; the body travels through the Proc
-// struct rather than a captured closure.
+// Proc shells come off the free list that Reset fills and the coroutine
+// that runs the body is taken from the worker pool at first dispatch, so
+// a harness running many simulations back to back spawns without
+// allocating; the body travels through the Proc struct rather than a
+// captured closure.
 func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
 	if n := len(s.procFree); n > 0 {
@@ -312,57 +282,39 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.id = len(s.procs)
 		p.name = name
 		p.blockedOn = ""
+		p.panicVal = nil
 		p.started, p.finished = false, false
 	} else {
-		p = &Proc{sim: s, id: len(s.procs), name: name, resume: make(chan struct{})}
+		p = &Proc{sim: s, id: len(s.procs), name: name}
 	}
 	p.fn = fn
 	s.procs = append(s.procs, p)
 	s.live++
-	go p.main()
 	s.schedule(p, s.now)
 	return p
 }
 
-// main is the goroutine body of a spawned process: wait for the first
-// token delivery, run fn, then pass the token on and exit.
-func (p *Proc) main() {
-	<-p.resume
+// run executes the body on p's worker, converting a body panic into a
+// value for Run to re-raise.
+func (p *Proc) run() {
 	p.started = true
 	fn := p.fn
 	p.fn = nil
-	panicked := p.runBody(fn)
-	p.finished = true
-	s := p.sim
-	s.live--
-	if panicked != nil {
-		s.sched <- schedMsg{proc: p, panicVal: panicked}
-		return
-	}
-	if s.dispatchNext(nil) == dispatchedNone {
-		s.sched <- schedMsg{proc: p}
-	}
-}
-
-// runBody runs fn, converting a body panic into a value for Run to
-// re-raise.
-func (p *Proc) runBody(fn func(*Proc)) (panicked any) {
 	defer func() {
-		if r := recover(); r != nil {
-			panicked = r
-		}
+		p.panicVal = recover()
+		p.finished = true
+		p.sim.live--
 	}()
 	fn(p)
-	return nil
 }
 
 // Reset returns the simulation to an empty time-zero state while
 // keeping allocated capacity: the event-heap backing array stays, and
-// finished Proc shells (resume channels included) plus any timers still
-// parked in dropped events go to the free lists for the next run.
-// Reset panics if any spawned process has not finished — a live
-// process's goroutine still references the state being recycled, so
-// only a cleanly drained simulation (Run returned nil) may be reused.
+// finished Proc shells plus any timers still parked in dropped events go
+// to the free lists for the next run. Reset panics if any spawned
+// process has not finished — a live process's coroutine still
+// references the state being recycled, so only a cleanly drained
+// simulation (Run returned nil) may be reused.
 func (s *Simulation) Reset() {
 	if s.running {
 		panic("sim: Reset during Run")
@@ -400,20 +352,32 @@ func (e *DeadlockError) Error() string {
 // *DeadlockError if processes remain blocked with no pending events, and
 // re-panics any panic raised inside a process body.
 //
-// Run seeds the token by dispatching the first event; after that the
-// token passes directly from process to process and only returns here
-// when the heap drains or a process panics.
+// Run is the dispatcher loop: it resumes the coroutine of each
+// dispatched process, which returns the next process when it blocks. A
+// process that finishes hands its worker back to the pool here, and Run
+// dispatches the next event itself.
 func (s *Simulation) Run() error {
 	if s.running {
 		panic("sim: Run called reentrantly")
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for s.dispatchNext(nil) != dispatchedNone {
-		msg := <-s.sched
-		if msg.panicVal != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", msg.proc.name, msg.panicVal))
+	for p := s.dispatch(); p != nil; {
+		w := p.w
+		if w == nil {
+			w = getWorker()
+			w.p, p.w = p, w
 		}
+		next, _ := w.next()
+		if p.finished {
+			p.w = nil
+			putWorker(w)
+			if p.panicVal != nil {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.panicVal))
+			}
+			next = s.dispatch()
+		}
+		p = next
 	}
 	if s.live > 0 {
 		var stuck []string
@@ -432,7 +396,7 @@ func (s *Simulation) Run() error {
 // process must call wake. why is recorded for deadlock diagnostics.
 func (p *Proc) block(why string) {
 	p.blockedOn = why
-	p.yieldToken()
+	p.park()
 }
 
 // wake schedules a blocked process to resume at time at.
@@ -448,9 +412,10 @@ func (p *Proc) Sleep(d Time) {
 	s := p.sim
 	t := s.now + d
 	// Fast path: no pending event precedes our wake-up (ties go to the
-	// earlier-scheduled event, which any pending event is), so the token
-	// would come straight back — advance the clock in place. This is the
-	// dominant dispatch pattern in the kernel's chunked copy loops.
+	// earlier-scheduled event, which any pending event is), so the
+	// dispatcher would resume us straight away — advance the clock in
+	// place. This is the dominant dispatch pattern in the kernel's
+	// chunked copy loops.
 	if len(s.events) == 0 || t < s.events[0].t {
 		s.now = t
 		s.processed++
@@ -458,7 +423,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	s.schedule(p, t)
 	p.blockedOn = blockedSleep
-	p.yieldToken()
+	p.park()
 }
 
 // Yield lets other processes scheduled at the current instant run.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -56,16 +57,30 @@ func TestSpawnOrderBreaksTies(t *testing.T) {
 	}
 }
 
+// TestProcPanicsPropagate pins the re-raised form of a body panic, and
+// that the worker pool stays usable afterwards: the panicking body's
+// worker recovered it and went back to the idle list like any finished
+// one.
 func TestProcPanicsPropagate(t *testing.T) {
-	s := New()
-	s.Spawn("boom", func(p *Proc) { panic("kapow") })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic to propagate from Run")
-		}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s := New()
+		s.Spawn("boom", func(p *Proc) {
+			p.Sleep(1)
+			panic("kapow")
+		})
+		_ = s.Run()
+		return nil
 	}()
-	_ = s.Run()
+	if want := `sim: process "boom" panicked: kapow`; got != want {
+		t.Fatalf("Run panicked with %v, want %q", got, want)
+	}
+	s := New()
+	var ran bool
+	s.Spawn("after", func(p *Proc) { p.Sleep(1); ran = true })
+	if err := s.Run(); err != nil || !ran {
+		t.Fatalf("run after a panic: err %v, ran %v", err, ran)
+	}
 }
 
 func TestSpawnDuringRun(t *testing.T) {
@@ -186,17 +201,41 @@ func TestTrySendTryRecv(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetection pins DeadlockError.Blocked: one sorted
+// "name: blockedOn" entry per started, unfinished process, whatever
+// primitive it is parked on.
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
-	c := NewChan[int](s, 0)
-	s.Spawn("stuck", func(p *Proc) { c.Recv(p) })
+	rv := NewChan[int](s, 0)
+	full := NewChan[int](s, 1)
+	m := NewMutex(s)
+	sem := NewSemaphore(s, 0)
+	b := NewBarrier(s, 2)
+	wg := NewWaitGroup(s)
+	wg.Add(1)
+	s.Spawn("stuck", func(p *Proc) { rv.Recv(p) })
+	s.Spawn("send", func(p *Proc) { full.Send(p, 1); full.Send(p, 2) })
+	s.Spawn("holder", func(p *Proc) { m.Lock(p) })
+	s.Spawn("lock", func(p *Proc) { p.Sleep(1); m.Lock(p) })
+	s.Spawn("sem", func(p *Proc) { sem.Acquire(p, 1) })
+	s.Spawn("barrier", func(p *Proc) { b.Wait(p) })
+	s.Spawn("wg", func(p *Proc) { wg.Wait(p) })
+	s.Spawn("done", func(p *Proc) { p.Sleep(2) })
 	err := s.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck: chan recv" {
-		t.Fatalf("blocked = %v", de.Blocked)
+	want := []string{
+		"barrier: barrier wait",
+		"lock: mutex lock",
+		"sem: semaphore acquire",
+		"send: chan send",
+		"stuck: chan recv",
+		"wg: waitgroup wait",
+	}
+	if !reflect.DeepEqual(de.Blocked, want) || de.Time != 2 {
+		t.Fatalf("deadlock at %g blocked on %q, want t=2 and %q", de.Time, de.Blocked, want)
 	}
 }
 

@@ -4,7 +4,7 @@ package sim
 type Mutex struct {
 	sim     *Simulation
 	held    bool
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewMutex returns an unlocked mutex.
@@ -16,7 +16,7 @@ func (m *Mutex) Lock(p *Proc) {
 		m.held = true
 		return
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	p.block(blockedMutex)
 	// Ownership was transferred to us by Unlock; m.held stays true.
 }
@@ -34,7 +34,7 @@ func (m *Mutex) TryLock() bool {
 func (m *Mutex) Locked() bool { return m.held }
 
 // Waiters returns the number of processes queued on the mutex.
-func (m *Mutex) Waiters() int { return len(m.waiters) }
+func (m *Mutex) Waiters() int { return m.waiters.len() }
 
 // Unlock releases the mutex, handing it to the longest-waiting process if
 // any.
@@ -42,20 +42,18 @@ func (m *Mutex) Unlock() {
 	if !m.held {
 		panic("sim: unlock of unlocked mutex")
 	}
-	if len(m.waiters) == 0 {
+	if m.waiters.len() == 0 {
 		m.held = false
 		return
 	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	next.wake(m.sim.now) // ownership transfers; held remains true
+	m.waiters.pop().wake(m.sim.now) // ownership transfers; held remains true
 }
 
 // Semaphore is a counting semaphore in virtual time with FIFO hand-off.
 type Semaphore struct {
 	sim     *Simulation
 	avail   int
-	waiters []semWaiter
+	waiters fifo[semWaiter]
 }
 
 type semWaiter struct {
@@ -81,11 +79,11 @@ func (sm *Semaphore) Acquire(p *Proc, n int) {
 	if n <= 0 {
 		panic("sim: non-positive semaphore acquire")
 	}
-	if len(sm.waiters) == 0 && sm.avail >= n {
+	if sm.waiters.len() == 0 && sm.avail >= n {
 		sm.avail -= n
 		return
 	}
-	sm.waiters = append(sm.waiters, semWaiter{p: p, n: n})
+	sm.waiters.push(semWaiter{p: p, n: n})
 	p.block(blockedSemaphore)
 }
 
@@ -96,9 +94,8 @@ func (sm *Semaphore) Release(n int) {
 		panic("sim: non-positive semaphore release")
 	}
 	sm.avail += n
-	for len(sm.waiters) > 0 && sm.avail >= sm.waiters[0].n {
-		w := sm.waiters[0]
-		sm.waiters = sm.waiters[1:]
+	for sm.waiters.len() > 0 && sm.avail >= sm.waiters.at(0).n {
+		w := sm.waiters.pop()
 		sm.avail -= w.n
 		w.p.wake(sm.sim.now)
 	}

@@ -159,7 +159,24 @@ func (s *Service) validate(req *PlanRequest) (*arch.Profile, error) {
 	if req.Procs == 0 {
 		req.Procs = prof.DefaultProcs
 	}
+	if req.Procs < 1 || req.Procs > prof.HWThreads() {
+		return nil, &ProcsError{Arch: prof.Name, Procs: req.Procs, Max: prof.HWThreads()}
+	}
 	return prof, nil
+}
+
+// ProcsError rejects a plan request whose rank count the architecture
+// cannot host: below one rank, or more ranks than hardware threads. The
+// check runs before any tuning, which spawns one simulated process per
+// rank.
+type ProcsError struct {
+	Arch  string
+	Procs int
+	Max   int // the architecture's hardware threads
+}
+
+func (e *ProcsError) Error() string {
+	return fmt.Sprintf("tuner: procs %d outside [1, %d] for %s", e.Procs, e.Max, e.Arch)
 }
 
 // Plan answers one request, tuning at most once per cache key no matter

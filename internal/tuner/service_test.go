@@ -2,10 +2,14 @@ package tuner
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -94,6 +98,8 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 		{Arch: "knl", Kind: "sort", Size: 1},
 		{Arch: "knl", Kind: core.KindScatter, Size: -1},
 		{Arch: "knl", Kind: core.KindScatter, Size: 1, Ambient: -2},
+		{Arch: "knl", Kind: core.KindScatter, Size: 1, Procs: -3},
+		{Arch: "knl", Kind: core.KindScatter, Size: 1, Procs: arch.KNL().HWThreads() + 1},
 	}
 	for _, req := range bad {
 		if _, err := s.Plan(req); err == nil {
@@ -296,5 +302,43 @@ func TestServiceHTTP(t *testing.T) {
 
 	if code, _ = get("/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
+	}
+}
+
+// TestServiceHTTPRejectsProcs pins the up-front procs check: an
+// out-of-range rank count is a 400 naming procs, answered before any
+// tune starts — so neither a recovered slice-bounds panic (negative
+// procs) nor an unbounded spawn (huge procs) can happen.
+func TestServiceHTTPRejectsProcs(t *testing.T) {
+	var calls int64
+	s := NewService(ServiceConfig{Tune: fakeTune(&calls, nil, nil)})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, procs := range []int{-3, arch.KNL().HWThreads() + 1, 1 << 31} {
+		resp, err := http.Get(fmt.Sprintf("%s/plan?arch=knl&kind=scatter&size=4096&procs=%d", srv.URL, procs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("procs=%d: status %d, want 400 (%s)", procs, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "procs") || strings.Contains(string(body), "failed") {
+			t.Errorf("procs=%d: body %s, want a procs error and no recovered tuning panic", procs, body)
+		}
+	}
+	if n := atomic.LoadInt64(&calls); n != 0 {
+		t.Errorf("rejected requests started %d tunes, want 0", n)
+	}
+	if st := s.Stats(); st.Misses != 0 {
+		t.Errorf("stats %+v, want no misses", st)
+	}
+	var pe *ProcsError
+	if _, err := s.Plan(PlanRequest{Arch: "knl", Kind: core.KindScatter, Size: 1, Procs: -3}); !errors.As(err, &pe) {
+		t.Errorf("Plan(procs=-3) error %v, want *ProcsError", err)
 	}
 }

@@ -22,13 +22,16 @@ fi
 echo '== go test ./...'
 go test ./...
 
-# The simulator hands the scheduler token between goroutines and the
-# trace recorder piggybacks on that happens-before edge instead of
-# locking; the sweep engine fans cells out across a worker pool, and the
-# fault-injection plan is consulted from inside parallel experiment
-# cells. The race detector proves those happens-before edges are real —
-# everywhere, not just in the packages that looked concurrency-sensitive
-# when the check was narrower.
+# The simulator runs process bodies as coroutines that its dispatcher
+# resumes one at a time, and the trace recorder piggybacks on the
+# happens-before edge of each coroutine switch instead of locking. The
+# coroutine workers are pooled across simulations, so parallel sweep
+# cells hand them from goroutine to goroutine; the sweep engine fans
+# cells out across a worker pool, and the fault-injection plan is
+# consulted from inside parallel experiment cells. The race detector
+# proves those happens-before edges are real — everywhere, not just in
+# the packages that looked concurrency-sensitive when the check was
+# narrower.
 # (The bench suite subsamples its most expensive experiment sweeps when
 # built with -race — see internal/bench/race_off_test.go; the plain
 # pass above keeps full coverage.)
